@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from math import gcd
 
 from . import polyring
-from .arith import divisors, is_prime, totient
+from .arith import divisors, require_prime
 from .errors import Internal, KnotCase, NonAdmissible, NotDivisible, ZeroAlpha
 
 
@@ -124,19 +124,6 @@ def cyclotomic_multiplicities(params: TorusParams) -> CycFactorization:
     return CycFactorization(params=params, entries=entries)
 
 
-def root_count(params: TorusParams) -> int:
-    """(p-1)(q-1), the total number of roots counted with multiplicity."""
-    return (params.p - 1) * (params.q - 1)
-
-
-def check_root_count(fact: CycFactorization) -> None:
-    total = sum(m * totient(r) for r, m in fact.entries.items())
-    if total != root_count(fact.params):
-        raise Internal(
-            f"root count mismatch for {fact.params}: {total}"
-        )
-
-
 def specialize_z(params: TorusParams, z) -> list[int]:
     """One-variable specialization of the multivariable polynomial along z:
     (X^(a*p'*q') - 1)^d (X - 1) / ((X^(a*p') - 1)(X^(a*q') - 1)) with
@@ -181,20 +168,9 @@ def determinant(params: TorusParams) -> int:
     return abs(polyring.poly_eval_int(alexander_poly(params), -1))
 
 
-def _odd_case_determinant(params: TorusParams) -> int:
-    # Knot-case parity table: p odd/q even -> p, p even/q odd -> q, both odd -> 1.
-    p, q = params.p, params.q
-    if p % 2 == 1 and q % 2 == 0:
-        return p
-    if p % 2 == 0 and q % 2 == 1:
-        return q
-    return 1
-
-
 def ell_colorable(params: TorusParams, ell: int) -> bool:
     """Whether T(p, q) admits a nontrivial ell-coloring: ell | determinant."""
-    if not is_prime(ell):
-        raise ValueError(f"{ell} is not prime")
+    require_prime(ell)
     return determinant(params) % ell == 0
 
 
@@ -205,8 +181,7 @@ def coloring_zero_order(params: TorusParams, ell: int) -> int:
     over the field with ell elements; Delta is monic, so the reduction is
     never the zero polynomial.
     """
-    if not is_prime(ell):
-        raise ValueError(f"{ell} is not prime")
+    require_prime(ell)
     f = [c % ell for c in alexander_poly(params)]
     while f and f[-1] == 0:
         f.pop()

@@ -50,6 +50,18 @@ def is_prime(n: int) -> bool:
     return True
 
 
+def require_prime(ell: int) -> None:
+    """Raise ValueError unless ell is prime.
+
+    >>> require_prime(4)
+    Traceback (most recent call last):
+    ...
+    ValueError: 4 is not prime
+    """
+    if not is_prime(ell):
+        raise ValueError(f"{ell} is not prime")
+
+
 def mobius(n: int) -> int:
     """Moebius function: (-1)^k on squarefree n with k prime factors, else 0.
 
@@ -104,8 +116,7 @@ def padic_valuation(ell: int, n: int) -> int:
     >>> padic_valuation(2, 12)
     2
     """
-    if not is_prime(ell):
-        raise ValueError(f"{ell} is not prime")
+    require_prime(ell)
     if n == 0:
         raise ValueError("valuation of 0 is infinite")
     v = 0

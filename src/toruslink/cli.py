@@ -22,12 +22,7 @@ from .alexander import (
     torus_params,
 )
 from .arith import is_prime
-from .covers import (
-    mahler_measure_quadrature,
-    mahler_measure_roots,
-    tower_orders_knot,
-    tower_orders_link,
-)
+from .covers import mahler_measure_quadrature, mahler_measure_roots
 from .distribution import (
     ALL_LINKS,
     KNOTS_COPRIME,
@@ -38,9 +33,9 @@ from .distribution import (
 )
 from .errors import InvariantError
 from .iwasawa import (
-    knot_invariants,
+    _knot_tower_invariants,
+    _link_tower_invariants,
     lambda_decomposition_check,
-    link_invariants,
 )
 from .moments import mean_variance, moment_record, parseval_check, residue_table
 
@@ -215,8 +210,7 @@ def _cmd_tower(args) -> int:
             )
         n_max = args.n if args.n is not None else 4
         inputs["n"] = n_max
-        report = tower_orders_knot(params, args.ell, n_max)
-        inv = knot_invariants(params, args.ell, n_max=min(n_max, 4))
+        report, inv = _knot_tower_invariants(params, args.ell, n_max)
         results = {
             "relative": False,
             "v": report.v,
@@ -234,9 +228,9 @@ def _cmd_tower(args) -> int:
     else:
         z = _parse_z(args.z)
         inputs["z"] = z
-        n_max = args.n
-        inv = link_invariants(params, z, args.ell, n_max=n_max)
-        report = tower_orders_link(params, z, args.ell, n_max if n_max is not None else 5)
+        # the tower runs to the end of the nu fit window, so every level
+        # the invariants were decided on is printed
+        report, inv = _link_tower_invariants(params, z, args.ell, args.n)
         inputs["n"] = len(report.orders) - 1
         results = {
             "relative": True,

@@ -23,7 +23,7 @@ from .alexander import (
     specialize_z,
     torus_params,
 )
-from .arith import divisors, is_prime, padic_valuation
+from .arith import divisors, padic_valuation, require_prime
 from .errors import Internal, KnotCase, LinkCase, NonFinite, ZeroInput
 
 
@@ -46,11 +46,6 @@ class TowerReport:
     valuations: tuple[Optional[int], ...]
     closed_form: Optional[tuple[int, ...]]
     relative: bool
-
-
-def _require_prime(ell: int) -> None:
-    if not is_prime(ell):
-        raise ValueError(f"{ell} is not prime")
 
 
 def homology_order_cyclic(params: TorusParams, m: int) -> int:
@@ -92,7 +87,7 @@ def tower_orders_knot(params: TorusParams, ell: int, n_max: int) -> TowerReport:
     the closed form base^(ell^min(n, r) - 1)."""
     if params.d != 1:
         raise LinkCase("knot tower needs gcd(p, q) = 1")
-    _require_prime(ell)
+    require_prime(ell)
     if n_max < 0:
         raise ValueError(f"need n_max >= 0, got {n_max}")
     orders = []
@@ -129,7 +124,7 @@ def tower_orders_link(
     every deeper entry is 0 too."""
     if params.d == 1:
         raise KnotCase("link tower needs gcd(p, q) >= 2")
-    _require_prime(ell)
+    require_prime(ell)
     if n_max < 0:
         raise ValueError(f"need n_max >= 0, got {n_max}")
     vec = z if isinstance(z, AdmissibleVector) else admissible_vector(params, z)

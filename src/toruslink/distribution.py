@@ -7,16 +7,22 @@ Arc endpoints are exact rationals and containment is a closed-interval
 rational comparison, so boundary roots are never subject to float rounding.
 The angles 0 and 1 name the same root; an arc containing either endpoint of
 [0, 1] counts that root exactly once.
+
+Counting is integer arithmetic throughout.  An arc [a, b] is kept as the
+integer pairs (num, den) of its endpoints, so the integers in [a n, b n]
+come from one ceiling and one floor division.  Family totals are Moebius
+and divisor sums (Hardy & Wright, ch. XVI) over one linear sieve up to X:
+count_coprime_pairs, count_roots_total, frequency_Fr and weyl_sum take
+O(X log X) time and O(X) memory.  scan still visits every pair, O(1) work
+per knot and O(d(L)) per link.
 """
 
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from math import gcd
 from typing import Optional
-
-import numpy as np
 
 from .alexander import TorusParams, cyclotomic_multiplicities, torus_params
 from .arith import divisors, factorize, mobius
@@ -42,50 +48,62 @@ def arc(a, b) -> Arc:
     return Arc(Fraction(a), Fraction(b))
 
 
-def _floor(x: Fraction) -> int:
-    return x.numerator // x.denominator
+def _signed_divisors(primes) -> list[tuple[int, int]]:
+    """(e, mu(e)) for the squarefree divisors e of a product of distinct primes."""
+    out = [(1, 1)]
+    for ell in primes:
+        out += [(e * ell, -s) for e, s in out]
+    return out
 
 
-def _ceil(x: Fraction) -> int:
-    return -((-x.numerator) // x.denominator)
+def _coprime_upto(n: int, primes) -> int:
+    """#{1 <= j <= n : j divisible by none of the primes}."""
+    return sum(s * (n // e) for e, s in _signed_divisors(primes))
 
 
-def _multiples_in(e: int, lo: Fraction, hi: Fraction) -> int:
-    """Count of integers in [lo, hi] divisible by e."""
-    n = _floor(hi / e) - _ceil(lo / e) + 1
-    return n if n > 0 else 0
+class _ArcCounter:
+    """Root counts in one closed arc.
 
+    Holds the arc's endpoints as integers and the table r -> N_r of
+    primitive r-th roots of unity in the arc, so one scan computes each N_r
+    once and the table is dropped with the scan.
+    """
 
-@lru_cache(maxsize=None)
-def _primitive_in_arc(r: int, a: Arc) -> int:
-    """N_r: primitive r-th roots of unity with angle in the closed arc."""
-    if r == 1:
-        return 1 if (a.a == 0 or a.b == 1) else 0
-    # Moebius over divisors; j = 0 and j = r drop out since gcd(j, r) = r > 1.
-    total = 0
-    lo, hi = a.a * r, a.b * r
-    for e in divisors(r):
-        mu = mobius(e)
-        if mu:
-            total += mu * _multiples_in(e, lo, hi)
-    return total
+    def __init__(self, a: Arc):
+        self.an, self.ad = a.a.numerator, a.a.denominator
+        self.bn, self.bd = a.b.numerator, a.b.denominator
+        self.primitive = {1: 1 if (a.a == 0 or a.b == 1) else 0}
 
+    def _span(self, n: int) -> tuple[int, int]:
+        """(lo - 1, hi) for the integers lo..hi in [a n, b n]; the count of
+        multiples of e among them is hi // e - (lo - 1) // e."""
+        return -(-self.an * n // self.ad) - 1, self.bn * n // self.bd
 
-def _arc_count_knot(params: TorusParams, a: Arc) -> int:
-    # Direct inclusion-exclusion on k in [1, pq-1]: k/pq in the arc and
-    # k divisible by neither p nor q.  O(1) per pair, which is what makes
-    # X = 200 scans cheap.
-    pq = params.p * params.q
-    lo = max(a.a * pq, Fraction(1))
-    hi = min(a.b * pq, Fraction(pq - 1))
-    if lo > hi:
-        return 0
-    return (
-        _multiples_in(1, lo, hi)
-        - _multiples_in(params.p, lo, hi)
-        - _multiples_in(params.q, lo, hi)
-        + _multiples_in(pq, lo, hi)
-    )
+    def primitive_count(self, r: int) -> int:
+        """N_r by Moebius over the divisors of r; j = 0 and j = r drop out
+        for r > 1 since gcd(j, r) = r."""
+        n = self.primitive.get(r)
+        if n is None:
+            below, hi = self._span(r)
+            primes = [ell for ell, _ in factorize(r)]
+            n = sum(s * (hi // e - below // e) for e, s in _signed_divisors(primes))
+            self.primitive[r] = n
+        return n
+
+    def knot(self, p: int, q: int) -> int:
+        # Inclusion-exclusion on k in [1, pq - 1]: k/pq in the arc and k
+        # divisible by neither p nor q (no multiple of pq lies in range).
+        pq = p * q
+        below, hi = self._span(pq)
+        below = max(below, 0)
+        hi = min(hi, pq - 1)
+        if below >= hi:
+            return 0
+        return (hi - below) - (hi // p - below // p) - (hi // q - below // q)
+
+    def link(self, params: TorusParams) -> int:
+        entries = cyclotomic_multiplicities(params).entries
+        return sum(m * self.primitive_count(r) for r, m in entries.items())
 
 
 def arc_count_single(params: TorusParams, a: Arc) -> int:
@@ -93,10 +111,10 @@ def arc_count_single(params: TorusParams, a: Arc) -> int:
     counted with multiplicity."""
     if params.p == 1 or params.q == 1:
         return 0
+    counter = _ArcCounter(a)
     if params.d == 1:
-        return _arc_count_knot(params, a)
-    entries = cyclotomic_multiplicities(params).entries
-    return sum(m * _primitive_in_arc(r, a) for r, m in entries.items())
+        return counter.knot(params.p, params.q)
+    return counter.link(params)
 
 
 def arc_count_direct(params: TorusParams, a: Arc) -> int:
@@ -137,54 +155,113 @@ def _check_family(family: str) -> None:
         raise ValueError(f"unknown family {family!r}; expected one of {FAMILIES}")
 
 
-def count_coprime_pairs(X: int) -> int:
-    """#{(p, q) : 1 <= p, q <= X, gcd(p, q) = 1} by direct enumeration."""
+def _check_X(X: int) -> None:
     if X < 1:
         raise ValueError(f"need X >= 1, got {X}")
-    P = np.arange(1, X + 1)
-    return int((np.gcd.outer(P, P) == 1).sum())
+
+
+def _sieve(n: int) -> tuple[list[int], list[int]]:
+    """Linear sieve up to n: (mu, spf), the Moebius function and the least
+    prime factor of each 0 <= k <= n (mu[0] = 0, spf[0] = spf[1] = 0)."""
+    mu = [1] * (n + 1)
+    mu[0] = 0
+    spf = [0] * (n + 1)
+    primes = []
+    for i in range(2, n + 1):
+        if not spf[i]:
+            spf[i] = i
+            mu[i] = -1
+            primes.append(i)
+        least, mu_i = spf[i], mu[i]
+        for ell in primes:
+            if ell > least or i * ell > n:
+                break
+            spf[i * ell] = ell
+            mu[i * ell] = -mu_i if ell < least else 0
+    return mu, spf
+
+
+def _prime_factors(n: int, spf: list[int]) -> list[int]:
+    out = []
+    while n > 1:
+        ell = spf[n]
+        out.append(ell)
+        while n % ell == 0:
+            n //= ell
+    return out
+
+
+def _coprime_pairs(X: int, mu: list[int]) -> int:
+    return sum(m * (X // e) ** 2 for e, m in enumerate(mu) if m)
+
+
+def _knot_roots_total(X: int, mu: list[int]) -> int:
+    # Pairs with e | gcd(p, q) contribute (sum_{i <= n} (e i - 1))^2.
+    total = 0
+    for e, m in enumerate(mu):
+        if m:
+            n = X // e
+            total += m * (e * n * (n + 1) // 2 - n) ** 2
+    return total
+
+
+def count_coprime_pairs(X: int) -> int:
+    """#{(p, q) : 1 <= p, q <= X, gcd(p, q) = 1} as sum_e mu(e) floor(X/e)^2,
+    with mu from one linear sieve: O(X) time and memory.
+
+    >>> [count_coprime_pairs(X) for X in (1, 3, 10)]
+    [1, 7, 63]
+    """
+    _check_X(X)
+    return _coprime_pairs(X, _sieve(X)[0])
 
 
 def count_coprime_pairs_mobius(X: int) -> int:
-    """Same count through the Moebius sum over d of mu(d) * floor(X/d)^2;
-    must agree exactly with the enumeration."""
-    if X < 1:
-        raise ValueError(f"need X >= 1, got {X}")
+    """Same count through mu(d) computed one d at a time by factorization;
+    must agree exactly with the sieve."""
+    _check_X(X)
     return sum(mobius(e) * (X // e) ** 2 for e in range(1, X + 1))
 
 
 def count_roots_total(X: int, family: str) -> int:
-    """Sum of (p-1)(q-1) over the family up to X."""
-    if X < 1:
-        raise ValueError(f"need X >= 1, got {X}")
+    """Sum of (p-1)(q-1) over the family up to X.
+
+    For knots, sum_e mu(e) (e T(n) - n)^2 with n = floor(X/e) and
+    T(n) = n(n+1)/2, O(X) after the sieve; for all links, (X(X-1)/2)^2.
+    """
+    _check_X(X)
     _check_family(family)
-    P = np.arange(1, X + 1)
-    W = P - 1
     if family == ALL_LINKS:
-        total = int(W.sum()) ** 2
+        total = sum(range(X)) ** 2
         if total != (X * (X - 1)) ** 2 // 4:
             raise Internal("all-links root total disagrees with its closed form")
         return total
-    mask = np.gcd.outer(P, P) == 1
-    return int(np.outer(W, W)[mask].sum())
+    return _knot_roots_total(X, _sieve(X)[0])
 
 
 def _scan_chunk(args) -> tuple[int, int, int, list]:
     X, family, a, p_lo, p_hi, want_rows = args
+    knots_only = family == KNOTS_COPRIME
+    counter = _ArcCounter(a) if a is not None else None
     t_count = omega = in_arc = 0
     rows = [] if want_rows else None
     for p in range(p_lo, p_hi):
         for q in range(1, X + 1):
-            if family == KNOTS_COPRIME and gcd(p, q) != 1:
+            d = gcd(p, q)
+            if d != 1 and knots_only:
                 continue
-            params = torus_params(p, q)
             t_count += 1
             roots = (p - 1) * (q - 1)
             omega += roots
-            count = arc_count_single(params, a) if a is not None else 0
+            if counter is None:
+                count = 0
+            elif d == 1:
+                count = counter.knot(p, q)
+            else:
+                count = counter.link(torus_params(p, q))
             in_arc += count
             if want_rows:
-                rows.append((p, q, params.d, roots, count))
+                rows.append((p, q, d, roots, count))
     return t_count, omega, in_arc, rows
 
 
@@ -198,19 +275,25 @@ def scan(
     """Aggregate arc counts over the whole family, row-major in (p, q).
 
     Returns the report and, when want_rows is set, the per-pair list of
-    (p, q, d, roots_total, roots_in_arc).  Results are identical for any
-    jobs value: chunk sums are associative and chunks are reduced in order.
+    (p, q, d, roots_total, roots_in_arc).  Each pair costs O(1) integer
+    operations for a knot and O(d(L)) for a link, where d(L) is the number
+    of divisors of lcm(p, q).  jobs splits the p range over at most
+    min(jobs, os.cpu_count()) worker processes; results are identical for
+    any jobs value, since chunk sums are associative and chunks are
+    reduced in order.
     """
-    if X < 1:
-        raise ValueError(f"need X >= 1, got {X}")
+    _check_X(X)
     _check_family(family)
-    if jobs > 1:
-        step = max(1, (X + jobs - 1) // jobs)
+    if jobs < 1:
+        raise ValueError(f"need jobs >= 1, got {jobs}")
+    workers = min(jobs, os.cpu_count() or 1, X)
+    if workers > 1:
+        step = -(-X // workers)
         chunks = [
             (X, family, a, lo, min(lo + step, X + 1), want_rows)
             for lo in range(1, X + 1, step)
         ]
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with ProcessPoolExecutor(max_workers=min(workers, len(chunks))) as pool:
             parts = list(pool.map(_scan_chunk, chunks))
     else:
         parts = [_scan_chunk((X, family, a, 1, X + 1, want_rows))]
@@ -262,37 +345,57 @@ def frequency_Fr(X: int, r: int) -> Fraction:
     Since M_r = [r | pq] - [r | p] - [r | q] for a knot, this is the share
     of torus knots T(p, q), p, q <= X, whose Delta vanishes at the
     primitive r-th roots of unity.  It tends to frequency_limit(r).
+
+    With g = gcd(p, r) and m = r/g, a coprime pair has r | pq exactly when
+    m | q; r dividing neither needs g > 1 and m > 1, and gcd(p, q) = 1
+    needs gcd(p, m) = 1.  Writing q = m j, each such p contributes the
+    j <= X/m coprime to p, a Moebius sum over the primes of p.  O(X log X)
+    time and O(X) memory.
+
+    >>> frequency_Fr(50, 6)
+    Fraction(246, 1547)
     """
     if r < 2:
         raise ValueError(f"need r >= 2, got {r}")
-    if X < 1:
-        raise ValueError(f"need X >= 1, got {X}")
-    P = np.arange(1, X + 1)
-    coprime = np.gcd.outer(P, P) == 1
-    ndiv = (P % r) != 0
-    hits = coprime & (np.outer(P, P) % r == 0) & ndiv[:, None] & ndiv[None, :]
-    return Fraction(int(hits.sum()), int(coprime.sum()))
+    _check_X(X)
+    mu, spf = _sieve(X)
+    hits = 0
+    for p in range(2, X + 1):
+        g = gcd(p, r)
+        m = r // g
+        if g == 1 or m == 1 or m > X or gcd(p, m) != 1:
+            continue
+        hits += _coprime_upto(X // m, _prime_factors(p, spf))
+    return Fraction(hits, _coprime_pairs(X, mu))
 
 
 def weyl_sum(X: int, k: int) -> complex:
     """Moment average (1/#roots) * sum of S_k over coprime pairs up to X.
 
     Tends to 0 for k != 0 as X grows; k = 0 is the normalization and gives
-    exactly 1.  Exact integer arithmetic until the final division.
+    exactly 1.  S_k = pq[pq | k] - p[p | k] - q[q | k] + 1 depends on k
+    only through its divisors, so the sum over pairs is a divisor sum over
+    |k| plus the coprime-pair count.  Exact integer arithmetic until the
+    final division; O(X) time and memory for the sieve.
     """
-    if X < 1:
-        raise ValueError(f"need X >= 1, got {X}")
-    total = 0
-    omega = 0
-    for p in range(1, X + 1):
-        for q in range(1, X + 1):
-            if gcd(p, q) != 1:
-                continue
-            omega += (p - 1) * (q - 1)
-            pq = p * q
-            total += (
-                pq * (k % pq == 0) - p * (k % p == 0) - q * (k % q == 0) + 1
-            )
+    _check_X(X)
+    mu, _ = _sieve(X)
+    omega = _knot_roots_total(X, mu)
     if omega == 0:
         return 0j
+    n = abs(k)
+    if n == 0:
+        total = omega  # S_0 = (p - 1)(q - 1)
+    else:
+        total = _coprime_pairs(X, mu)
+        for p in divisors(n):
+            if p > X:
+                break
+            # the p[p | k] and q[q | k] terms, equal by symmetry
+            total -= 2 * p * _coprime_upto(X, [ell for ell, _ in factorize(p)])
+            for q in divisors(n // p):
+                if q > X:
+                    break
+                if gcd(p, q) == 1:
+                    total += p * q
     return complex(total / omega)

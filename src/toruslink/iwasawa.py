@@ -29,8 +29,8 @@ from .alexander import (
     alexander_poly,
     specialize_z,
 )
-from .arith import is_prime, padic_valuation
-from .covers import tower_orders_knot, tower_orders_link
+from .arith import padic_valuation, require_prime
+from .covers import TowerReport, tower_orders_knot, tower_orders_link
 from .errors import FormulaMismatch, Internal, KnotCase, LinkCase, ZeroInput
 from .polyring import _strip, geometric
 
@@ -56,18 +56,13 @@ class IwasawaInvariants:
     nu_kind: str
 
 
-def _require_prime(ell: int) -> None:
-    if not is_prime(ell):
-        raise ValueError(f"{ell} is not prime")
-
-
 def complete_at_ell(f: list[int], ell: int) -> PadicPolynomial:
     """Exact binomial-expansion substitution X -> 1 + T.
 
     >>> complete_at_ell([-1, 0, 0, 0, 1], 2).coeffs
     (0, 4, 6, 4, 1)
     """
-    _require_prime(ell)
+    require_prime(ell)
     f = _strip(f)
     if not f:
         raise ZeroInput("cannot complete the zero polynomial")
@@ -102,16 +97,24 @@ def knot_invariants(params: TorusParams, ell: int, n_max: int = 4) -> IwasawaInv
     """(mu, lambda, nu) for a torus knot: always (0, 0, 0), but verified two
     ways rather than asserted: the completed polynomial must be a unit, and
     every tower order must be coprime to ell."""
+    return _knot_tower_invariants(params, ell, n_max)[1]
+
+
+def _knot_tower_invariants(
+    params: TorusParams, ell: int, n_max: int
+) -> tuple[TowerReport, IwasawaInvariants]:
+    """knot_invariants together with the tower it checked, so a caller
+    that reports the tower builds it once."""
     if params.d != 1:
         raise LinkCase("knot invariants need gcd(p, q) = 1")
-    _require_prime(ell)
+    require_prime(ell)
     mu, lam = weierstrass_mu_lambda(complete_at_ell(alexander_poly(params), ell))
     if (mu, lam) != (0, 0):
         raise Internal(f"knot completion not a unit: mu={mu}, lambda={lam}")
     tower = tower_orders_knot(params, ell, n_max)
     if any(v != 0 for v in tower.valuations):
         raise Internal(f"knot tower orders not coprime to {ell}: {tower.orders}")
-    return IwasawaInvariants(mu=0, lam=0, nu=0, nu_kind=NU_ABSOLUTE)
+    return tower, IwasawaInvariants(mu=0, lam=0, nu=0, nu_kind=NU_ABSOLUTE)
 
 
 def _lambda_from_valuations(params: TorusParams, alpha: int, ell: int) -> int:
@@ -144,7 +147,7 @@ def link_mu_lambda(params: TorusParams, z, ell: int) -> tuple[int, int]:
     """
     if params.d == 1:
         raise KnotCase("link invariants need gcd(p, q) >= 2")
-    _require_prime(ell)
+    require_prime(ell)
     vec = z if isinstance(z, AdmissibleVector) else admissible_vector(params, z)
     mu, lam = weierstrass_mu_lambda(complete_at_ell(specialize_z(params, vec), ell))
     want = _lambda_from_valuations(params, vec.alpha, ell)
@@ -176,9 +179,17 @@ def link_invariants(
     the tower accordingly.  Towers that hit a zero order (infinite homology)
     get nu_kind = "not_applicable".
     """
+    return _link_tower_invariants(params, z, ell, n_max)[1]
+
+
+def _link_tower_invariants(
+    params: TorusParams, z, ell: int, n_max: Optional[int]
+) -> tuple[TowerReport, IwasawaInvariants]:
+    """link_invariants together with the tower its nu was fitted on; the
+    tower ends at the last level of the fit window."""
     if params.d == 1:
         raise KnotCase("link invariants need gcd(p, q) >= 2")
-    _require_prime(ell)
+    require_prime(ell)
     vec = z if isinstance(z, AdmissibleVector) else admissible_vector(params, z)
     mu, lam = link_mu_lambda(params, vec, ell)
     v = max(padic_valuation(ell, c) for c in vec.z)
@@ -192,13 +203,14 @@ def link_invariants(
     tower = tower_orders_link(params, vec, ell, n_max)
     window = range(start, n_max + 1)
     if any(tower.orders[n] == 0 for n in window):
-        return IwasawaInvariants(mu=mu, lam=lam, nu=None, nu_kind=NU_NOT_APPLICABLE)
+        inv = IwasawaInvariants(mu=mu, lam=lam, nu=None, nu_kind=NU_NOT_APPLICABLE)
+        return tower, inv
     consts = [tower.valuations[n] - mu * ell**n - lam * n for n in window]
     if len(set(consts)) != 1:
         raise Internal(
             f"tower valuations not affine on the stabilized window: {consts}"
         )
-    return IwasawaInvariants(mu=mu, lam=lam, nu=consts[0], nu_kind=NU_RELATIVE)
+    return tower, IwasawaInvariants(mu=mu, lam=lam, nu=consts[0], nu_kind=NU_RELATIVE)
 
 
 def lambda_decomposition_check(params: TorusParams, z, ell: int) -> bool:
@@ -207,7 +219,7 @@ def lambda_decomposition_check(params: TorusParams, z, ell: int) -> bool:
     (X-1)^(d-1) * g^d / (g * g).  Confirms the directly extracted lambda."""
     if params.d == 1:
         raise KnotCase("decomposition check is for links")
-    _require_prime(ell)
+    require_prime(ell)
     vec = z if isinstance(z, AdmissibleVector) else admissible_vector(params, z)
     _, lam = link_mu_lambda(params, vec, ell)
     a = abs(vec.alpha)

@@ -108,6 +108,13 @@ def test_scan_jobs_same_output(capsys):
     assert out1 == out2
 
 
+def test_scan_rejects_bad_jobs(capsys):
+    code, out, err = run(capsys, "scan", "30", "all", "[1/10,7/20]", "--jobs", "0")
+    assert code == 2
+    assert err.startswith("error[USAGE]")
+    assert out == ""
+
+
 def test_scan_rejects_floats(capsys):
     code, _, err = run(capsys, "scan", "30", "coprime", "[0.1,0.5]")
     assert code == 2
@@ -138,6 +145,21 @@ def test_tower_link_payload(capsys):
     assert res["invariants"]["lambda"] == 4
     assert res["invariants"]["nu_kind"] == "not_applicable"
     assert res["lambda_decomposition_agrees"] is True
+
+
+def test_tower_link_prints_fit_window(capsys):
+    # lambda = 13 puts the nu fit window at n = 5..7, and every level the
+    # invariants were decided on is in the output
+    doc = run_json(capsys, "tower", "3", "6", "--z", "1,2,1", "--ell", "2")
+    assert doc["inputs"]["n"] == 7
+    res = doc["results"]
+    assert res["v"] == 1
+    assert res["orders"] == ["1", "1"] + ["0"] * 6
+    assert res["valuations"] == [0, 0] + [None] * 6
+    assert res["invariants"] == {"mu": 0, "lambda": 13, "nu": None, "nu_kind": "not_applicable"}
+    code, out, _ = run(capsys, "tower", "3", "6", "--z", "1,2,1", "--ell", "2", "--csv")
+    assert code == 0
+    assert out.splitlines()[1:] == ["0,1,0", "1,1,0"] + [f"{n},0," for n in range(2, 8)]
 
 
 def test_tower_zero_alpha(capsys):
