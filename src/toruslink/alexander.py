@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from math import gcd
 
 from . import polyring
-from .arith import divisors, require_prime
+from .arith import divisors, factorize, require_prime
 from .errors import Internal, KnotCase, NonAdmissible, NotDivisible, ZeroAlpha
 
 
@@ -87,6 +87,15 @@ def _binomial_power(k: int, d: int) -> list[int]:
     return out
 
 
+def _torus_quotient(N: int, P: int, Q: int, d: int) -> list[int]:
+    # (t^N - 1)^d (t - 1) / ((t^P - 1)(t^Q - 1)), up to units: the closed
+    # form behind Delta (N = L) and every specialization Delta_z.
+    num = polyring.poly_mul(_binomial_power(N, d), [-1, 1])
+    f = polyring.poly_exact_div(num, polyring.x_pow_minus_one(P))
+    f = polyring.poly_exact_div(f, polyring.x_pow_minus_one(Q))
+    return polyring.laurent_normalize(f)
+
+
 def alexander_poly(params: TorusParams) -> list[int]:
     """Alexander polynomial of T(p, q): exact division of (t^L - 1)^d (t - 1)
     by (t^p - 1)(t^q - 1).  Monic of degree (p-1)(q-1).
@@ -94,16 +103,13 @@ def alexander_poly(params: TorusParams) -> list[int]:
     >>> alexander_poly(torus_params(2, 3))
     [1, -1, 1]
     """
-    p, q, d = params.p, params.q, params.d
+    p, q = params.p, params.q
     if p == 1 or q == 1:
         return [1]
-    num = polyring.poly_mul(_binomial_power(params.L, d), [-1, 1])
     try:
-        f = polyring.poly_exact_div(num, polyring.x_pow_minus_one(p))
-        f = polyring.poly_exact_div(f, polyring.x_pow_minus_one(q))
+        return _torus_quotient(params.L, p, q, params.d)
     except NotDivisible as exc:  # pragma: no cover
         raise Internal("Alexander closed form failed to divide") from exc
-    return polyring.laurent_normalize(f)
 
 
 def cyclotomic_multiplicities(params: TorusParams) -> CycFactorization:
@@ -136,36 +142,55 @@ def specialize_z(params: TorusParams, z) -> list[int]:
     if vec.alpha == 0:
         raise ZeroAlpha("component sum of z is 0; the specialization degenerates")
     a = abs(vec.alpha)
-    pp, qp, d = params.p_prime, params.q_prime, params.d
-    num = polyring.poly_mul(_binomial_power(a * pp * qp, d), [-1, 1])
-    f = polyring.poly_exact_div(num, polyring.x_pow_minus_one(a * pp))
-    f = polyring.poly_exact_div(f, polyring.x_pow_minus_one(a * qp))
-    return polyring.laurent_normalize(f)
+    pp, qp = params.p_prime, params.q_prime
+    return _torus_quotient(a * pp * qp, a * pp, a * qp, params.d)
 
 
 def hosokawa(params: TorusParams, z) -> list[int]:
     """Hosokawa polynomial g_(a*p'*q')^d / (g_(a*p') g_(a*q')), the reduced
-    link polynomial: specialize_z = (X - 1)^(d-1) * hosokawa."""
+    link polynomial: specialize_z = (X - 1)^(d-1) * hosokawa, which is how
+    it is computed (d - 1 exact divisions of Delta_z by X - 1)."""
     if params.d == 1:
         raise KnotCase("Hosokawa polynomial is defined for links (d >= 2)")
     vec = z if isinstance(z, AdmissibleVector) else admissible_vector(params, z)
     if vec.alpha == 0:
         raise ZeroAlpha("component sum of z is 0; the specialization degenerates")
     a = abs(vec.alpha)
-    pp, qp, d = params.p_prime, params.q_prime, params.d
-    num = [1]
-    base = polyring.geometric(a * pp * qp)
-    for _ in range(d):
-        num = polyring.poly_mul(num, base)
-    f = polyring.poly_exact_div(num, polyring.geometric(a * pp))
-    f = polyring.poly_exact_div(f, polyring.geometric(a * qp))
+    pp, qp = params.p_prime, params.q_prime
+    f = _torus_quotient(a * pp * qp, a * pp, a * qp, params.d)
+    for _ in range(params.d - 1):
+        f = polyring.poly_exact_div(f, [-1, 1])
     return polyring.laurent_normalize(f)
+
+
+def _abs_cyclotomic_at_minus_one(r: int) -> int:
+    # |Phi_r(-1)| by the table in determinant's docstring; for even r > 2
+    # both nontrivial cases read "r/2 is a power of the prime ell".
+    if r <= 2:
+        return 2 if r == 1 else 0
+    if r % 2:
+        return 1
+    fac = factorize(r // 2)
+    return fac[0][0] if len(fac) == 1 else 1
 
 
 def determinant(params: TorusParams) -> int:
     """|Delta(-1)|, the link determinant; 0 means infinite double-cover
-    homology (happens for some links, never for knots)."""
-    return abs(polyring.poly_eval_int(alexander_poly(params), -1))
+    homology (happens for some links, never for knots).
+
+    Read off the cyclotomic ledger as prod |Phi_r(-1)|^(M_r), with
+    |Phi_r(-1)| = 2 for r = 1, 0 for r = 2, 2 for r = 2^j with j >= 2,
+    ell for r = 2 ell^k with ell an odd prime, and 1 for every other r.
+
+    >>> determinant(torus_params(4, 6))
+    12
+    >>> determinant(torus_params(4, 4))
+    0
+    """
+    out = 1
+    for r, m in cyclotomic_multiplicities(params).entries.items():
+        out *= _abs_cyclotomic_at_minus_one(r) ** m
+    return out
 
 
 def ell_colorable(params: TorusParams, ell: int) -> bool:

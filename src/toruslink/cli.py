@@ -8,6 +8,7 @@ determinants, cover orders) are serialized as decimal strings.
 
 import argparse
 import json
+import math
 import re
 import sys
 from fractions import Fraction
@@ -271,8 +272,6 @@ def _cmd_mahler(args) -> int:
         inputs = {"p": args.p, "q": args.q, "grid": args.grid}
     m_roots = mahler_measure_roots(f)
     m_quad = mahler_measure_quadrature(f, args.grid)
-    import math
-
     results = {
         "roots_measure": m_roots,
         "log_quadrature": m_quad,

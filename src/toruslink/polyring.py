@@ -80,24 +80,36 @@ def poly_divmod(f: list[int], g: list[int]) -> tuple[list[int], list[int]]:
     Raises NotDivisible when a quotient coefficient would be fractional,
     which for our callers (monic divisors, or divisions known to be exact)
     is always the right signal.
+
+    The remainder is reduced in place under a running length, and each step
+    touches only the nonzero coefficients of g, so the cost is
+    O(len f * nnz g): linear in len f for sparse divisors such as t^k - 1.
+
+    >>> poly_divmod([1, 0, 0, 0, 0, 1], [-1, 0, 1])
+    ([0, 1, 0, 1], [1, 1])
     """
     f, g = _strip(f), _strip(g)
     if not g:
         raise DivByZero("polynomial division by zero")
-    r = list(f)
+    # _strip returned a copy, so the remainder can be reduced in place
+    r, n = f, len(f)
     dg = len(g) - 1
     lead = g[-1]
-    q = [0] * max(len(f) - dg, 0)
-    while len(r) - 1 >= dg and r:
-        c, rem = divmod(r[-1], lead)
+    low = [(j, c) for j, c in enumerate(g[:dg]) if c != 0]
+    q = [0] * max(n - dg, 0)
+    while n > dg:
+        c, rem = divmod(r[n - 1], lead)
         if rem != 0:
             raise NotDivisible("leading coefficient not divisible")
-        shift = len(r) - 1 - dg
+        shift = n - 1 - dg
         q[shift] = c
-        for j in range(dg + 1):
-            r[shift + j] -= c * g[j]
-        r = _strip(r)
-    return _strip(q), r
+        for j, gj in low:
+            r[shift + j] -= c * gj
+        # the top coefficient cancels exactly; trim it and any zeros below
+        n -= 1
+        while n > 0 and r[n - 1] == 0:
+            n -= 1
+    return q, r[:n]
 
 
 def poly_exact_div(f: list[int], g: list[int]) -> list[int]:

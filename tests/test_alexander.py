@@ -19,7 +19,15 @@ from toruslink.alexander import (
 )
 from toruslink.arith import totient
 from toruslink.errors import KnotCase, NonAdmissible, ZeroAlpha
-from toruslink.polyring import cyclotomic, poly_mul, x_pow_minus_one
+from toruslink.polyring import (
+    cyclotomic,
+    geometric,
+    laurent_normalize,
+    poly_eval_int,
+    poly_exact_div,
+    poly_mul,
+    x_pow_minus_one,
+)
 
 pairs = st.tuples(st.integers(min_value=1, max_value=40), st.integers(min_value=1, max_value=40))
 
@@ -88,6 +96,11 @@ def test_determinants():
     }
     for pq, det in expected.items():
         assert determinant(torus_params(*pq)) == det
+    # the ledger product against the dense route |Delta(-1)|
+    for p in range(1, 61):
+        for q in range(p, 61):
+            P = torus_params(p, q)
+            assert determinant(P) == abs(poly_eval_int(alexander_poly(P), -1)), (p, q)
 
 
 def test_colorability():
@@ -128,20 +141,44 @@ def test_specialize_zero_alpha():
         specialize_z(torus_params(2, 4), (1, -1))
 
 
+def hosokawa_geometric(P, z):
+    """The geometric-product route g_N^d / (g_(a p') g_(a q')), N = a p' q'."""
+    a = abs(sum(z))
+    num = [1]
+    for _ in range(P.d):
+        num = poly_mul(num, geometric(a * P.p_prime * P.q_prime))
+    f = poly_exact_div(num, geometric(a * P.p_prime))
+    f = poly_exact_div(f, geometric(a * P.q_prime))
+    return laurent_normalize(f)
+
+
 def test_hosokawa():
     assert hosokawa(torus_params(2, 4), (1, 1)) == [1, 0, 1]
     assert hosokawa(torus_params(3, 3), (1, 1, 1)) == [1, 1, 1]
     assert hosokawa(torus_params(2, 2), (2, 1)) == [1]
+    for p in range(2, 13):
+        for q in range(p, 13):
+            P = torus_params(p, q)
+            if not 2 <= P.d <= 4:
+                continue
+            for z in ((1,) * P.d, (2,) + (1,) * (P.d - 1), (-2,) + (1,) * (P.d - 1)):
+                if sum(z) != 0:
+                    assert hosokawa(P, z) == hosokawa_geometric(P, z), (p, q, z)
     with pytest.raises(KnotCase):
         hosokawa(torus_params(2, 3), (1,))
 
 
-@settings(max_examples=40)
+@settings(max_examples=80)
 @given(st.tuples(st.integers(min_value=2, max_value=12), st.integers(min_value=2, max_value=12)),
-       st.integers(min_value=-3, max_value=3), st.integers(min_value=-3, max_value=3))
-def test_hosokawa_times_binomial_is_specialization(pq, z1, z2):
+       st.lists(st.integers(min_value=-3, max_value=3), min_size=4, max_size=4))
+def test_hosokawa_times_binomial_is_specialization(pq, zs):
     P = torus_params(*pq)
-    if P.d != 2 or z1 == 0 or z2 == 0 or math.gcd(z1, z2) != 1 or z1 + z2 == 0:
+    z = tuple(zs[: P.d])
+    if not 2 <= P.d <= 4 or 0 in z or math.gcd(*z) != 1 or sum(z) == 0:
         return
-    h = hosokawa(P, (z1, z2))
-    assert poly_mul(h, [-1, 1]) == specialize_z(P, (z1, z2))
+    h = hosokawa(P, z)
+    assert h == hosokawa_geometric(P, z)
+    binomial = [1]
+    for _ in range(P.d - 1):
+        binomial = poly_mul(binomial, [-1, 1])
+    assert poly_mul(h, binomial) == specialize_z(P, z)

@@ -203,6 +203,16 @@ def test_mahler_zero_poly(capsys):
     assert err.startswith("error[ZERO_INPUT]")
 
 
+def test_mahler_coefficient_beyond_double(capsys):
+    # 10^400 has no double; the refusal is typed, not an OverflowError
+    huge = "1" + "0" * 400
+    for poly in (f"1,{huge}", huge):
+        code, out, err = run(capsys, "mahler", f"--poly={poly}", "--grid", "64")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error[NON_FINITE]")
+
+
 def test_mahler_conflicting_inputs(capsys):
     code, _, err = run(capsys, "mahler", "2", "3", "--poly", "1,1")
     assert code == 2

@@ -3,6 +3,7 @@
 import cmath
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -28,6 +29,21 @@ def oracle_order(p, q, m):
     for k in range(m):
         prod *= poly_eval_complex(delta, cmath.exp(2j * cmath.pi * k / m))
     return abs(prod)
+
+
+def quadrature_polyval(f, grid):
+    """The midpoint rule with np.polyval on whole 2^18-point blocks."""
+    coeffs = np.array(f[::-1], dtype=float)
+    total = 0.0
+    block = 1 << 18
+    for start in range(0, grid, block):
+        j = np.arange(start, min(start + block, grid))
+        zs = np.exp(2j * np.pi * (j + 0.5) / grid)
+        vals = np.abs(np.polyval(coeffs, zs))
+        if vals.min() < 1e-14:
+            raise NonFinite("quadrature sample landed on a zero")
+        total += np.log(vals).sum()
+    return float(total / grid)
 
 
 def test_homology_orders_known():
@@ -124,6 +140,10 @@ def test_mahler_roots_values():
     with pytest.raises(ZeroInput):
         mahler_measure_roots([])
     assert mahler_measure_roots([-7]) == 7.0
+    huge = 10**400
+    for f in ([1, huge], [huge], [huge, huge]):
+        with pytest.raises(NonFinite):
+            mahler_measure_roots(f)
 
 
 @settings(max_examples=20, deadline=None)
@@ -147,6 +167,22 @@ def test_mahler_quadrature():
         mahler_measure_quadrature([0], 64)
     with pytest.raises(ValueError):
         mahler_measure_quadrature([1, 1], 8)
+    with pytest.raises(NonFinite):
+        mahler_measure_quadrature([1, 10**400], 64)
+    # bit for bit against np.polyval, on grids inside one 2^12-point
+    # sub-block (16, 17, 1000), one point past it (4097) and three points
+    # past a 2^18-point block
+    polys = [[0, 1], [-2, 1], [1, 1], [3, 0, -1, 4, 0, 0, 5], delta,
+             alexander_poly(torus_params(5, 7)), alexander_poly(torus_params(6, 9))]
+    for f in polys:
+        for grid in (16, 17, 1000, 4097, (1 << 18) + 3):
+            try:
+                want = quadrature_polyval(f, grid)
+            except NonFinite:
+                with pytest.raises(NonFinite):
+                    mahler_measure_quadrature(f, grid)
+                continue
+            assert mahler_measure_quadrature(f, grid) == want, (f, grid)
 
 
 def test_mahler_quadrature_near_zero_guard():

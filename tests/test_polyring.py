@@ -87,13 +87,29 @@ def test_ring_axioms(a, b, c):
     assert poly_sub(poly_add(a, b), b) == poly_add(a, [])
 
 
-@given(coeffs, nonzero)
-def test_divmod_roundtrip(a, b):
+# sparse divisors: t^k - 1, and coefficient lists with interior zeros
+sparse = st.lists(st.sampled_from([0, 0, 0, -2, -1, 1, 3]), min_size=1, max_size=12).filter(any)
+divisor = st.one_of(nonzero, st.integers(min_value=1, max_value=12).map(x_pow_minus_one), sparse)
+
+
+@given(coeffs, divisor, coeffs)
+def test_divmod_roundtrip(a, b, c):
     stripped = poly_add(a, [])
     prod = poly_mul(a, b)
     assert poly_exact_div(prod, b) == stripped
     q, r = poly_divmod(prod, b)
     assert q == stripped and r == []
+    # a remainder below deg b comes back unchanged, whatever the divisor
+    db = degree(b)
+    low = poly_add(c[:db], [])
+    assert poly_divmod(poly_add(prod, low), b) == (stripped, low)
+    if low:
+        with pytest.raises(NotDivisible):
+            poly_exact_div(poly_add(prod, low), b)
+    # t^db / b needs 1 / lead(b) as its first quotient coefficient
+    if abs(b[db]) > 1:
+        with pytest.raises(NotDivisible):
+            poly_divmod([0] * db + [1], b)
 
 
 def test_division_errors():
