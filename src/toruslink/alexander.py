@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from math import gcd
 
 from . import polyring
-from .arith import divisors, factorize, require_prime
+from .arith import divisors, mangoldt_exp, require_prime
 from .errors import Internal, KnotCase, NonAdmissible, NotDivisible, ZeroAlpha
 
 
@@ -168,10 +168,7 @@ def _abs_cyclotomic_at_minus_one(r: int) -> int:
     # both nontrivial cases read "r/2 is a power of the prime ell".
     if r <= 2:
         return 2 if r == 1 else 0
-    if r % 2:
-        return 1
-    fac = factorize(r // 2)
-    return fac[0][0] if len(fac) == 1 else 1
+    return 1 if r % 2 else mangoldt_exp(r // 2)
 
 
 def determinant(params: TorusParams) -> int:
@@ -202,27 +199,21 @@ def ell_colorable(params: TorusParams, ell: int) -> bool:
 def coloring_zero_order(params: TorusParams, ell: int) -> int:
     """Multiplicity of (t + 1) in the Alexander polynomial reduced mod ell.
 
-    Upper-bounds the coloring rank.  Computed by repeated synthetic division
-    over the field with ell elements; Delta is monic, so the reduction is
-    never the zero polynomial.
+    Upper-bounds the coloring rank.  Read off the cyclotomic ledger: mod
+    ell, Phi_(s ell^k) = Phi_s^phi(ell^k) for ell not dividing s, and -1 is
+    a root of Phi_s only for s = 2 (s = 1 when ell = 2), a simple one.  So
+    the order is the sum of M_r phi(ell^k) over r = 2 ell^k (r = 2^k when
+    ell = 2), k >= 0.
+
+    >>> coloring_zero_order(torus_params(4, 6), 3)
+    2
     """
     require_prime(ell)
-    f = [c % ell for c in alexander_poly(params)]
-    while f and f[-1] == 0:
-        f.pop()
-    order = 0
-    while f:
-        # one synthetic-division pass at the root -1; the running value ends
-        # as the remainder f(-1) and the intermediate values are the quotient
-        quot = []
-        acc = 0
-        for a in reversed(f):
-            acc = (a - acc) % ell
-            quot.append(acc)
-        if quot.pop() != 0:
-            break
-        f = quot[::-1]
-        while f and f[-1] == 0:
-            f.pop()
-        order += 1
+    entries = cyclotomic_multiplicities(params).entries
+    base = 1 if ell == 2 else 2
+    order = entries.get(base, 0)
+    power = ell
+    while base * power <= params.L:  # every r in the ledger divides L
+        order += entries.get(base * power, 0) * (power - power // ell)
+        power *= ell
     return order

@@ -86,6 +86,18 @@ def totient(n: int) -> int:
     return t
 
 
+def mangoldt_exp(n: int) -> int:
+    """exp of the von Mangoldt function: ell when n is a power of the prime
+    ell, 1 otherwise.  For n > 1 this is |Phi_n(1)|.
+
+    >>> [mangoldt_exp(n) for n in (1, 8, 9, 12)]
+    [1, 2, 3, 1]
+    """
+    _check_positive(n)
+    fac = factorize(n)
+    return fac[0][0] if len(fac) == 1 else 1
+
+
 def omega(n: int) -> int:
     """Number of distinct prime divisors; omega(1) = 0."""
     _check_positive(n)

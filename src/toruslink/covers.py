@@ -1,11 +1,12 @@
-"""Homology orders of cyclic branched covers via resultants, prime-power
-tower sequences, and Mahler measures (root-based and quadrature).
+"""Homology orders of cyclic branched covers, prime-power tower sequences,
+and Mahler measures (root-based and quadrature).
 
 The m-fold cover of a knot has |H_1| = |Res(t^m - 1, Delta)|, with 0
-standing in for infinite homology.  Delta divides t^pq - 1 for knots, so
-t^m - 1 can be reduced mod pq in the exponent before any resultant is
-formed; that keeps the Sylvester matrices small no matter how deep the
-tower goes.
+standing in for infinite homology.  Knot orders are read off the
+cyclotomic ledger s -> M_s of Delta as the product of
+|Phi_(s')(1)|^(M_s phi(s)/phi(s')) with s' = s / gcd(s, m), so no
+polynomial is formed however deep the tower goes.  Link towers still pair
+Delta_z with the tower quotients through the exact resultant.
 """
 
 import math
@@ -19,11 +20,11 @@ from .alexander import (
     AdmissibleVector,
     TorusParams,
     admissible_vector,
-    alexander_poly,
+    cyclotomic_multiplicities,
     specialize_z,
     torus_params,
 )
-from .arith import divisors, padic_valuation, require_prime
+from .arith import mangoldt_exp, padic_valuation, require_prime, totient
 from .errors import Internal, KnotCase, LinkCase, NonFinite, ZeroInput
 
 
@@ -51,22 +52,29 @@ class TowerReport:
 def homology_order_cyclic(params: TorusParams, m: int) -> int:
     """|Res(t^m - 1, Delta_(p,q))| for a knot; 0 encodes infinite H_1.
 
+    The order is prod over the ledger of |Res(t^m - 1, Phi_s)|^(M_s).
+    t -> t^m maps the primitive s-th roots of unity onto the primitive
+    s'-th roots, s' = s / gcd(s, m), phi(s)/phi(s') to one, so
+    |Res(t^m - 1, Phi_s)| = |Phi_(s')(1)|^(phi(s)/phi(s')), and
+    |Phi_(s')(1)| is 0 at s' = 1, ell at s' = ell^k, and 1 otherwise.
+
     >>> homology_order_cyclic(torus_params(2, 3), 2)
     3
+    >>> homology_order_cyclic(torus_params(2, 3), 6)
+    0
     """
     if params.d != 1:
         raise LinkCase("cyclic-cover orders via t^m - 1 are knot-only")
     if m < 1:
         raise ValueError(f"need m >= 1, got {m}")
-    delta = alexander_poly(params)
-    if len(delta) == 1:
-        return 1
-    pq = params.p * params.q
-    s = m % pq
-    if s == 0:
-        # t^m - 1 then contains every root of Delta
-        return 0
-    return abs(polyring.resultant_monic(delta, polyring.x_pow_minus_one(s)))
+    out = 1
+    for s, mult in cyclotomic_multiplicities(params).entries.items():
+        image = s // math.gcd(s, m)
+        if image == 1:
+            # Phi_s divides t^m - 1: a root of Delta is an m-th root of unity
+            return 0
+        out *= mangoldt_exp(image) ** (mult * totient(s) // totient(image))
+    return out
 
 
 def _knot_closed_form(params: TorusParams, ell: int, n: int) -> int:
@@ -98,7 +106,7 @@ def tower_orders_knot(params: TorusParams, ell: int, n_max: int) -> TowerReport:
         if h != want:
             raise Internal(
                 f"tower order for T({params.p},{params.q}) at {ell}^{n}: "
-                f"resultant {h} vs closed form {want}"
+                f"ledger {h} vs closed form {want}"
             )
         orders.append(h)
         predicted.append(want)
@@ -247,20 +255,4 @@ def acuna_short_check(params: TorusParams, n_max: int) -> float:
         if h == 0:
             continue
         out = max(out, abs(math.exp(math.log(h) / n) - 1.0))
-    return out
-
-
-def homology_multiplicative_parts(params: TorusParams, m: int) -> dict[int, int]:
-    """|Res(Phi_r, Delta)| for each r | m: the cover order factors through
-    the cyclotomic pieces of t^m - 1.  Used as the independent route when
-    testing multiplicativity."""
-    if params.d != 1:
-        raise LinkCase("knot-only")
-    delta = alexander_poly(params)
-    out = {}
-    for r in divisors(m):
-        if len(delta) == 1:
-            out[r] = 1
-        else:
-            out[r] = abs(polyring.resultant_monic(delta, polyring.cyclotomic(r)))
     return out

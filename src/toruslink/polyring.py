@@ -285,8 +285,8 @@ def _sylvester(f: list[int], g: list[int]) -> list[list[int]]:
 
 def resultant(f: list[int], g: list[int]) -> int:
     """Res(f, g), bit-exact, via Bareiss fraction-free elimination of the
-    Sylvester matrix.  Matrices at our scale stay small (a few hundred rows
-    at most), so correctness wins over asymptotics.
+    Sylvester matrix.  Only link towers (through resultant_monic) and the
+    tests use it; knot cover orders come from the cyclotomic ledger.
 
     >>> resultant([-1, 0, 1], [1, -1, 1])
     3
@@ -330,8 +330,9 @@ def resultant_monic(f: list[int], g: list[int]) -> int:
     """Res(f, g) for monic f, computed after reducing g mod f.
 
     Since lc(f) = 1, Res(f, g) = Res(f, g rem f) exactly; reducing first keeps
-    the Sylvester matrix small when deg g is huge (tower quotients reach
-    degree in the thousands while deg f stays below fifty).
+    the Sylvester matrix small when deg g is huge (link-tower quotients reach
+    degree in the thousands while deg f stays below fifty).  It serves the
+    link towers and the knot-order oracle of the tests.
     """
     f, g = _strip(f), _strip(g)
     if not f or f[-1] != 1:

@@ -116,6 +116,40 @@ def test_colorability():
     assert coloring_zero_order(torus_params(2, 5), 5) == 4
 
 
+def coloring_zero_order_dense(P, ell):
+    """Multiplicity of t + 1 in Delta mod ell by repeated synthetic division
+    over the field with ell elements."""
+    f = [c % ell for c in alexander_poly(P)]
+    while f and f[-1] == 0:
+        f.pop()
+    order = 0
+    while f:
+        # one synthetic-division pass at the root -1; the running value ends
+        # as the remainder f(-1) and the intermediate values are the quotient
+        quot = []
+        acc = 0
+        for a in reversed(f):
+            acc = (a - acc) % ell
+            quot.append(acc)
+        if quot.pop() != 0:
+            break
+        f = quot[::-1]
+        while f and f[-1] == 0:
+            f.pop()
+        order += 1
+    return order
+
+
+def test_coloring_zero_order_matches_dense():
+    for p in range(1, 41):
+        for q in range(p, 41):
+            P = torus_params(p, q)
+            for ell in (2, 3, 5, 7, 11, 13):
+                assert coloring_zero_order(P, ell) == coloring_zero_order_dense(P, ell), (p, q, ell)
+    with pytest.raises(ValueError):
+        coloring_zero_order(torus_params(4, 6), 4)
+
+
 def test_admissible_vector_validation():
     P = torus_params(4, 4)
     with pytest.raises(NonAdmissible):

@@ -9,9 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from toruslink.alexander import alexander_poly, torus_params
+from toruslink.arith import divisors
 from toruslink.covers import (
     acuna_short_check,
-    homology_multiplicative_parts,
     homology_order_cyclic,
     mahler_measure_quadrature,
     mahler_measure_roots,
@@ -19,7 +19,13 @@ from toruslink.covers import (
     tower_orders_link,
 )
 from toruslink.errors import KnotCase, LinkCase, NonFinite, ZeroInput
-from toruslink.polyring import cyclotomic, poly_eval_complex, poly_mul
+from toruslink.polyring import (
+    cyclotomic,
+    poly_eval_complex,
+    poly_mul,
+    resultant_monic,
+    x_pow_minus_one,
+)
 
 
 def oracle_order(p, q, m):
@@ -29,6 +35,32 @@ def oracle_order(p, q, m):
     for k in range(m):
         prod *= poly_eval_complex(delta, cmath.exp(2j * cmath.pi * k / m))
     return abs(prod)
+
+
+def order_by_resultant(P, m):
+    """|Res(t^m - 1, Delta)| by Bareiss elimination, after reducing m mod pq
+    (Delta divides t^pq - 1) and t^m - 1 mod Delta."""
+    delta = alexander_poly(P)
+    if len(delta) == 1:
+        return 1
+    s = m % (P.p * P.q)
+    if s == 0:
+        # t^m - 1 then contains every root of Delta
+        return 0
+    return abs(resultant_monic(delta, x_pow_minus_one(s)))
+
+
+def homology_multiplicative_parts(P, m):
+    """|Res(Phi_r, Delta)| for each r | m: the cover order factors through
+    the cyclotomic pieces of t^m - 1."""
+    delta = alexander_poly(P)
+    out = {}
+    for r in divisors(m):
+        if len(delta) == 1:
+            out[r] = 1
+        else:
+            out[r] = abs(resultant_monic(delta, cyclotomic(r)))
+    return out
 
 
 def quadrature_polyval(f, grid):
@@ -53,6 +85,22 @@ def test_homology_orders_known():
     assert [homology_order_cyclic(P, m) for m in range(1, 11)] == [1, 5, 1, 5, 16, 5, 1, 5, 1, 0]
     P = torus_params(3, 4)
     assert [homology_order_cyclic(P, m) for m in range(1, 7)] == [1, 3, 16, 27, 1, 0]
+
+
+def test_order_matches_resultant():
+    # every knot with p < q <= 13, including T(1, q) (order 1) and every m
+    # that the order of some root of Delta divides (order 0)
+    zeros = 0
+    for p in range(1, 14):
+        for q in range(p + 1, 14):
+            if math.gcd(p, q) != 1:
+                continue
+            P = torus_params(p, q)
+            for m in range(1, 61):
+                h = homology_order_cyclic(P, m)
+                assert h == order_by_resultant(P, m), (p, q, m)
+                zeros += h == 0
+    assert zeros > 0
 
 
 @settings(max_examples=40, deadline=None)
