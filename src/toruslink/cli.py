@@ -174,7 +174,7 @@ def _cmd_scan(args) -> int:
         raise ValueError("scan needs an arc argument unless --freq is given")
     a = _parse_arc(args.arc)
     want_rows = args.per_pair is not None or args.csv
-    report, rows = scan(args.X, family, a, jobs=args.jobs, want_rows=want_rows)
+    report, rows = scan(args.X, family, a, want_rows=want_rows)
     inputs["arc"] = [_frac_str(a.a), _frac_str(a.b)]
     if args.per_pair is not None:
         with open(args.per_pair, "w") as fh:
@@ -307,7 +307,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sc.add_argument("--freq", type=int, default=None, metavar="R", help="report the frequency of r | pq instead of an arc count")
     sc.add_argument("--per-pair", default=None, metavar="FILE", help="write per-pair CSV rows to FILE")
     sc.add_argument("--csv", action="store_true", help="emit the per-pair table on stdout instead of JSON")
-    sc.add_argument("--jobs", type=int, default=1, help="parallel workers (result is schedule-independent)")
     sc.set_defaults(fn=_cmd_scan)
 
     tow = sub.add_parser("tower", help="cyclic cover orders along an ell-power tower")

@@ -9,22 +9,21 @@ The angles 0 and 1 name the same root; an arc containing either endpoint of
 [0, 1] counts that root exactly once.
 
 Counting is integer arithmetic throughout.  An arc [a, b] is kept as the
-integer pairs (num, den) of its endpoints, so the integers in [a n, b n]
-come from one ceiling and one floor division.  Family totals are Moebius
-and divisor sums (Hardy & Wright, ch. XVI) over one linear sieve up to X:
+integer pairs (num, den) of its endpoints, so B_n, the n-th roots of unity
+in the arc, is one floor and one ceiling division, and T(p, q) has
+B_1 + d B_L - B_p - B_q roots in it.  Family totals are Moebius and divisor
+sums (Hardy & Wright, ch. XVI) over one linear sieve up to X:
 count_coprime_pairs, count_roots_total, frequency_Fr and weyl_sum take
-O(X log X) time and O(X) memory.  scan still visits every pair, O(1) work
-per knot and O(d(L)) per link.
+O(X log X) time and O(X) memory.  scan sums the four-term count over the
+family with floor sums instead of visiting its X^2 pairs.
 """
 
-import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 from typing import Optional
 
-from .alexander import TorusParams, cyclotomic_multiplicities, torus_params
+from .alexander import TorusParams, cyclotomic_multiplicities
 from .arith import divisors, factorize, mobius
 from .errors import Internal
 
@@ -61,60 +60,58 @@ def _coprime_upto(n: int, primes) -> int:
     return sum(s * (n // e) for e, s in _signed_divisors(primes))
 
 
-class _ArcCounter:
-    """Root counts in one closed arc.
+def _floor_sum(n: int, m: int, a: int, b: int) -> int:
+    """sum_{0 <= j < n} floor((a j + b) / m) for n >= 0, m >= 1 and any
+    integers a, b, by the Euclid-like recursion on (m, a) in O(log) steps
+    (Graham, Knuth & Patashnik, Concrete Mathematics, 3.5).
 
-    Holds the arc's endpoints as integers and the table r -> N_r of
-    primitive r-th roots of unity in the arc, so one scan computes each N_r
-    once and the table is dropped with the scan.
+    >>> _floor_sum(4, 3, 2, -1), sum((2 * j - 1) // 3 for j in range(4))
+    (1, 1)
+    """
+    total = 0
+    while True:
+        qa, a = divmod(a, m)
+        qb, b = divmod(b, m)
+        total += qa * (n * (n - 1) // 2) + qb * n
+        top = a * n + b
+        if top < m:
+            return total
+        # the lattice points under the line, counted column-wise instead
+        n, b = divmod(top, m)
+        m, a = a, m
+
+
+class _ArcCounter:
+    """Root counts in one closed arc [a, b], kept as integer endpoints.
+
+    roots(n) is B_n, the n-th roots of unity in the arc: the
+    floor(b n) - ceil(a n) + 1 integers k with a <= k/n <= b, less one when
+    a = 0 and b = 1, where k = 0 and k = n name the same root.
     """
 
     def __init__(self, a: Arc):
         self.an, self.ad = a.a.numerator, a.a.denominator
         self.bn, self.bd = a.b.numerator, a.b.denominator
-        self.primitive = {1: 1 if (a.a == 0 or a.b == 1) else 0}
+        self.one = 0 if (a.a == 0 and a.b == 1) else 1
 
-    def _span(self, n: int) -> tuple[int, int]:
-        """(lo - 1, hi) for the integers lo..hi in [a n, b n]; the count of
-        multiples of e among them is hi // e - (lo - 1) // e."""
-        return -(-self.an * n // self.ad) - 1, self.bn * n // self.bd
+    def roots(self, n: int) -> int:
+        return self.bn * n // self.bd + (-self.an * n) // self.ad + self.one
 
-    def primitive_count(self, r: int) -> int:
-        """N_r by Moebius over the divisors of r; j = 0 and j = r drop out
-        for r > 1 since gcd(j, r) = r."""
-        n = self.primitive.get(r)
-        if n is None:
-            below, hi = self._span(r)
-            primes = [ell for ell, _ in factorize(r)]
-            n = sum(s * (hi // e - below // e) for e, s in _signed_divisors(primes))
-            self.primitive[r] = n
-        return n
+    def roots_sum(self, c: int, n: int) -> int:
+        """F(c, n): the sum of B_(c j) over 1 <= j <= n, as two floor sums."""
+        b, a = self.bn * c, -self.an * c
+        return _floor_sum(n, self.bd, b, b) + _floor_sum(n, self.ad, a, a) + self.one * n
 
-    def knot(self, p: int, q: int) -> int:
-        # Inclusion-exclusion on k in [1, pq - 1]: k/pq in the arc and k
-        # divisible by neither p nor q (no multiple of pq lies in range).
-        pq = p * q
-        below, hi = self._span(pq)
-        below = max(below, 0)
-        hi = min(hi, pq - 1)
-        if below >= hi:
-            return 0
-        return (hi - below) - (hi // p - below // p) - (hi // q - below // q)
-
-    def link(self, params: TorusParams) -> int:
-        entries = cyclotomic_multiplicities(params).entries
-        return sum(m * self.primitive_count(r) for r, m in entries.items())
+    def pair(self, p: int, q: int, d: int) -> int:
+        """Roots of Delta = (t - 1)(t^L - 1)^d / ((t^p - 1)(t^q - 1)) in the
+        arc, d = gcd(p, q), L = pq/d; 0 when p = 1 or q = 1."""
+        return self.roots(1) + d * self.roots(p * q // d) - self.roots(p) - self.roots(q)
 
 
 def arc_count_single(params: TorusParams, a: Arc) -> int:
     """Roots of the Alexander polynomial of T(p, q) with angle in the arc,
     counted with multiplicity."""
-    if params.p == 1 or params.q == 1:
-        return 0
-    counter = _ArcCounter(a)
-    if params.d == 1:
-        return counter.knot(params.p, params.q)
-    return counter.link(params)
+    return _ArcCounter(a).pair(params.p, params.q, params.d)
 
 
 def arc_count_direct(params: TorusParams, a: Arc) -> int:
@@ -239,68 +236,70 @@ def count_roots_total(X: int, family: str) -> int:
     return _knot_roots_total(X, _sieve(X)[0])
 
 
-def _scan_chunk(args) -> tuple[int, int, int, list]:
-    X, family, a, p_lo, p_hi, want_rows = args
-    knots_only = family == KNOTS_COPRIME
-    counter = _ArcCounter(a) if a is not None else None
-    t_count = omega = in_arc = 0
-    rows = [] if want_rows else None
-    for p in range(p_lo, p_hi):
-        for q in range(1, X + 1):
-            d = gcd(p, q)
-            if d != 1 and knots_only:
-                continue
-            t_count += 1
-            roots = (p - 1) * (q - 1)
-            omega += roots
-            if counter is None:
-                count = 0
-            elif d == 1:
-                count = counter.knot(p, q)
-            else:
-                count = counter.link(torus_params(p, q))
-            in_arc += count
-            if want_rows:
-                rows.append((p, q, d, roots, count))
-    return t_count, omega, in_arc, rows
+def _arc_total(X: int, family: str, counter: _ArcCounter, mu: list[int]) -> int:
+    F = counter.roots_sum
+    if family == ALL_LINKS:
+        total = X * X * counter.roots(1) - 2 * X * F(1, X)
+        for g in range(1, X + 1):
+            for e in range(1, X // g + 1):
+                if mu[e]:
+                    n, c = X // (g * e), g * e * e
+                    total += g * mu[e] * sum(F(c * i, n) for i in range(1, n + 1))
+        return total
+    total = _coprime_pairs(X, mu) * counter.roots(1)
+    for e, m in enumerate(mu):
+        if m:
+            n, c = X // e, e * e
+            total += m * (sum(F(c * i, n) for i in range(1, n + 1)) - 2 * n * F(e, n))
+    return total
 
 
 def scan(
     X: int,
     family: str,
     a: Optional[Arc],
-    jobs: int = 1,
     want_rows: bool = False,
 ) -> tuple[ScanReport, Optional[list]]:
-    """Aggregate arc counts over the whole family, row-major in (p, q).
+    """Aggregate arc counts over the whole family without visiting its pairs.
 
     Returns the report and, when want_rows is set, the per-pair list of
-    (p, q, d, roots_total, roots_in_arc).  Each pair costs O(1) integer
-    operations for a knot and O(d(L)) for a link, where d(L) is the number
-    of divisors of lcm(p, q).  jobs splits the p range over at most
-    min(jobs, os.cpu_count()) worker processes; results are identical for
-    any jobs value, since chunk sums are associative and chunks are
-    reduced in order.
+    (p, q, d, roots_total, roots_in_arc), row-major in (p, q).
+
+    Proof sketch of the totals.  T(p, q) has B_1 + d B_L - B_p - B_q roots
+    in the arc (_ArcCounter.pair), d = gcd(p, q), L = lcm(p, q).  Write
+    F(c, n) = sum_{j <= n} B_(c j); each B is a floor minus a ceiling plus
+    a constant, so F is two floor sums, O(log) steps each.
+    - all_links: summing over p, q <= X gives
+      X^2 B_1 + sum_{p,q} d B_L - 2X F(1, X).  Put p = g u, q = g v with
+      gcd(u, v) = 1, so d = g and L = g u v, and remove the coprimality by
+      Moebius over e | u, v (u = e i, v = e j): the middle sum is
+      sum_g g sum_e mu(e) sum_{i,j <= N} B_(g e^2 i j), N = floor(X/(g e)),
+      and the inner sum over j is F(g e^2 i, N).
+    - knots_coprime: d = 1 and L = pq, and Moebius over e | p, q gives
+      C(X) B_1 + sum_e mu(e) (sum_{i <= N} F(e^2 i, N) - 2 N F(e, N)),
+      N = floor(X/e), C(X) the coprime pair count.
+    There are O(X log^2 X) (g, e, i) triples for all_links and O(X log X)
+    for knots, each O(log X) steps.  t_count and omega_count are the
+    sieve closed forms of count_coprime_pairs and count_roots_total.
     """
     _check_X(X)
     _check_family(family)
-    if jobs < 1:
-        raise ValueError(f"need jobs >= 1, got {jobs}")
-    workers = min(jobs, os.cpu_count() or 1, X)
-    if workers > 1:
-        step = -(-X // workers)
-        chunks = [
-            (X, family, a, lo, min(lo + step, X + 1), want_rows)
-            for lo in range(1, X + 1, step)
-        ]
-        with ProcessPoolExecutor(max_workers=min(workers, len(chunks))) as pool:
-            parts = list(pool.map(_scan_chunk, chunks))
+    mu = _sieve(X)[0]
+    if family == ALL_LINKS:
+        t_count, omega = X * X, (X * (X - 1) // 2) ** 2
     else:
-        parts = [_scan_chunk((X, family, a, 1, X + 1, want_rows))]
-    t_count = sum(p[0] for p in parts)
-    omega = sum(p[1] for p in parts)
-    in_arc = sum(p[2] for p in parts)
-    rows = [r for p in parts for r in p[3]] if want_rows else None
+        t_count, omega = _coprime_pairs(X, mu), _knot_roots_total(X, mu)
+    counter = _ArcCounter(a) if a is not None else None
+    in_arc = _arc_total(X, family, counter, mu) if a is not None else 0
+    rows = None
+    if want_rows:
+        rows = []
+        for p in range(1, X + 1):
+            for q in range(1, X + 1):
+                d = gcd(p, q)
+                if d == 1 or family == ALL_LINKS:
+                    count = counter.pair(p, q, d) if a is not None else 0
+                    rows.append((p, q, d, (p - 1) * (q - 1), count))
     predicted = (a.b - a.a) if a is not None else Fraction(0)
     observed = Fraction(in_arc, omega) if omega else Fraction(0)
     report = ScanReport(

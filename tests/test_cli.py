@@ -1,9 +1,13 @@
 """Command-line surface: JSON envelopes, CSV output, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import toruslink
 from toruslink.cli import main
 
 
@@ -102,17 +106,23 @@ def test_scan_freq(capsys):
     assert res["limit"] == "1/6"
 
 
-def test_scan_jobs_same_output(capsys):
-    _, out1, _ = run(capsys, "scan", "30", "all", "[1/10,7/20]", "--jobs", "1")
-    _, out2, _ = run(capsys, "scan", "30", "all", "[1/10,7/20]", "--jobs", "4")
-    assert out1 == out2
+def test_scan_jobs_flag_removed(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["scan", "30", "all", "[1/10,7/20]", "--jobs", "4"])
+    assert exc.value.code == 2
 
 
-def test_scan_rejects_bad_jobs(capsys):
-    code, out, err = run(capsys, "scan", "30", "all", "[1/10,7/20]", "--jobs", "0")
-    assert code == 2
-    assert err.startswith("error[USAGE]")
-    assert out == ""
+def test_cli_import_starts_no_process_machinery():
+    """Importing the CLI pulls in neither multiprocessing nor the process
+    pool, which scan no longer uses."""
+    code = (
+        "import sys, toruslink.cli; "
+        "print([m for m in ('multiprocessing', 'concurrent.futures.process') if m in sys.modules])"
+    )
+    src = os.path.dirname(os.path.dirname(toruslink.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
 
 
 def test_scan_rejects_floats(capsys):

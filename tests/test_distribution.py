@@ -7,6 +7,8 @@ inclusion-exclusion counting in the library.
 
 The library's family totals are Moebius and divisor sums; the outer_*
 oracles below enumerate every pair (p, q) <= X in X-by-X arrays instead.
+scan's arc totals are floor sums over the four-term count; scan_per_pair
+visits every pair and reads each link's count off its cyclotomic ledger.
 """
 
 import math
@@ -17,13 +19,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from toruslink import distribution
 from toruslink.alexander import cyclotomic_multiplicities, torus_params
 from toruslink.arith import factorize, omega
 from toruslink.distribution import (
     ALL_LINKS,
     KNOTS_COPRIME,
     Arc,
+    _floor_sum,
+    _signed_divisors,
     arc,
     arc_count_direct,
     arc_count_single,
@@ -78,6 +81,66 @@ def walk_arc_count(p, q, a: Arc) -> int:
         if inside:
             total += mult
     return total
+
+
+class PerPairCounter:
+    """The former library route: the table r -> N_r of primitive r-th
+    roots of unity in the arc, by Moebius over the divisors of r, and the
+    sum of M_r N_r over each link's cyclotomic ledger."""
+
+    def __init__(self, a: Arc):
+        self.an, self.ad = a.a.numerator, a.a.denominator
+        self.bn, self.bd = a.b.numerator, a.b.denominator
+        self.primitive = {1: 1 if (a.a == 0 or a.b == 1) else 0}
+
+    def _span(self, n):
+        return -(-self.an * n // self.ad) - 1, self.bn * n // self.bd
+
+    def primitive_count(self, r):
+        n = self.primitive.get(r)
+        if n is None:
+            below, hi = self._span(r)
+            primes = [ell for ell, _ in factorize(r)]
+            n = sum(s * (hi // e - below // e) for e, s in _signed_divisors(primes))
+            self.primitive[r] = n
+        return n
+
+    def knot(self, p, q):
+        # inclusion-exclusion on k in [1, pq - 1]: k/pq in the arc and k
+        # divisible by neither p nor q
+        pq = p * q
+        below, hi = self._span(pq)
+        below = max(below, 0)
+        hi = min(hi, pq - 1)
+        if below >= hi:
+            return 0
+        return (hi - below) - (hi // p - below // p) - (hi // q - below // q)
+
+    def link(self, p, q):
+        entries = cyclotomic_multiplicities(torus_params(p, q)).entries
+        return sum(m * self.primitive_count(r) for r, m in entries.items())
+
+
+def scan_per_pair(X, family, a):
+    """(t_count, omega_count, arc_count, rows) by visiting every pair."""
+    counter = PerPairCounter(a)
+    t_count = omega_count = in_arc = 0
+    rows = []
+    for p in range(1, X + 1):
+        for q in range(1, X + 1):
+            d = math.gcd(p, q)
+            if d != 1 and family == KNOTS_COPRIME:
+                continue
+            roots = (p - 1) * (q - 1)
+            if d == 1:
+                count = counter.knot(p, q)
+            else:
+                count = counter.link(p, q)
+            t_count += 1
+            omega_count += roots
+            in_arc += count
+            rows.append((p, q, d, roots, count))
+    return t_count, omega_count, in_arc, rows
 
 
 def test_arc_validation():
@@ -167,15 +230,12 @@ def test_scan_full_circle():
     assert rows is None
 
 
-def test_scan_rows_and_jobs_determinism():
+def test_scan_rows_sum_to_report():
     a = arc("1/10", "7/20")
-    r1, rows1 = scan(25, KNOTS_COPRIME, a, jobs=1, want_rows=True)
-    r2, rows2 = scan(25, KNOTS_COPRIME, a, jobs=3, want_rows=True)
-    assert r1 == r2
-    assert rows1 == rows2
-    assert all(len(row) == 5 for row in rows1)
-    overall = sum(row[4] for row in rows1)
-    assert overall == r1.arc_count
+    report, rows = scan(25, KNOTS_COPRIME, a, want_rows=True)
+    assert all(len(row) == 5 for row in rows)
+    assert sum(row[4] for row in rows) == report.arc_count
+    assert scan(25, KNOTS_COPRIME, a) == (report, None)
 
 
 @settings(max_examples=40, deadline=None)
@@ -208,42 +268,54 @@ def test_scan_rows_match_direct(X, family, x, y):
     assert report.arc_count == sum(row[4] for row in rows)
 
 
-class RecordingPool:
-    """Stands in for ProcessPoolExecutor: records max_workers and runs the
-    chunks in this process."""
-
-    seen = []
-
-    def __init__(self, max_workers):
-        self.seen.append(max_workers)
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-    def map(self, fn, chunks):
-        chunks = list(chunks)
-        assert len(chunks) <= self.seen[-1]
-        return map(fn, chunks)
+TOTALS_ARCS = (
+    arc(0, 0),
+    arc(1, 1),
+    arc(0, 1),
+    arc("1/3", "1/3"),
+    arc(0, "2/7"),
+    arc("5/9", 1),
+    arc("1/10", "7/20"),
+    arc("1/2", "1/2"),
+    arc("3/64", "61/64"),
+)
 
 
-def test_scan_jobs_capped(monkeypatch):
-    monkeypatch.setattr(distribution, "ProcessPoolExecutor", RecordingPool)
-    monkeypatch.setattr(distribution.os, "cpu_count", lambda: 4)
-    RecordingPool.seen = []
+def test_scan_totals_match_per_pair():
+    for X in PAIR_COUNT_XS:
+        for family in (KNOTS_COPRIME, ALL_LINKS):
+            for a in TOTALS_ARCS:
+                report, rows = scan(X, family, a, want_rows=X <= 17)
+                t_count, omega_count, in_arc, want_rows = scan_per_pair(X, family, a)
+                assert (report.t_count, report.omega_count, report.arc_count) == (
+                    t_count, omega_count, in_arc,
+                ), (X, family, a)
+                if rows is not None:
+                    assert rows == want_rows
+    for family, a in ((KNOTS_COPRIME, arc("1/10", "7/20")), (ALL_LINKS, arc(0, "1/3"))):
+        assert scan(400, family, a)[0].arc_count == scan_per_pair(400, family, a)[2]
+
+
+def test_scan_totals_frozen():
+    """Totals at X = 2000 as the per-pair route computed them."""
     a = arc("1/10", "7/20")
-    serial = scan(9, ALL_LINKS, a, want_rows=True)
-    assert scan(9, ALL_LINKS, a, jobs=10**6, want_rows=True) == serial
-    assert scan(9, ALL_LINKS, a, jobs=3, want_rows=True) == serial
-    # 9 rows in chunks of ceil(9/4) = 3 leave 3 chunks for 4 CPUs
-    assert RecordingPool.seen == [3, 3]
-    assert scan(2, ALL_LINKS, a, jobs=10**6) == scan(2, ALL_LINKS, a)
-    assert RecordingPool.seen == [3, 3, 2]
-    for jobs in (0, -1):
-        with pytest.raises(ValueError):
-            scan(9, ALL_LINKS, a, jobs=jobs)
+    assert scan(2000, KNOTS_COPRIME, a)[0].arc_count == 607445579512
+    assert scan(2000, ALL_LINKS, a)[0].arc_count == 999003718064
+
+
+@settings(max_examples=200)
+@given(
+    st.integers(min_value=0, max_value=40),
+    st.integers(min_value=1, max_value=50),
+    st.integers(min_value=-10**6, max_value=10**6),
+    st.integers(min_value=-10**6, max_value=10**6),
+)
+@example(0, 1, 0, 0)
+@example(0, 7, -5, -3)
+@example(25, 1, -3, 4)
+@example(40, 50, -49, -1)
+def test_floor_sum_matches_direct(n, m, a, b):
+    assert _floor_sum(n, m, a, b) == sum((a * j + b) // m for j in range(n))
 
 
 def test_scan_predicted_ratio():
